@@ -136,7 +136,7 @@ func main() {
 	// in-flight requests (bounded), then flushes artifacts.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	hs := &http.Server{Addr: *addr, Handler: handler}
+	hs := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	select {
@@ -154,6 +154,10 @@ func main() {
 	}
 	flush()
 }
+
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so idle half-open connections cannot pin server goroutines.
+const readHeaderTimeout = 10 * time.Second
 
 // writeArtifact writes one shutdown artifact when a path is configured.
 func writeArtifact(path, kind string, write func(w io.Writer) error) {
@@ -179,7 +183,8 @@ func writeArtifact(path, kind string, write func(w io.Writer) error) {
 // factories resolves the policy name into per-platform scheduler and
 // evictor constructors. For MLCR the trained model is loaded once; in
 // gateway mode each shard gets a Clone sharing the master's weights and
-// one QBatcher so concurrent shards coalesce their forward passes.
+// one QBatcher, whose per-CPU inference slots run concurrent shards'
+// forward passes in parallel and batch the overflow.
 func factories(name, model string, slots, batch int, gateway bool) (func() platform.Scheduler, func() pool.Evictor, error) {
 	switch name {
 	case "LRU":

@@ -19,8 +19,10 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -151,7 +153,9 @@ func (s *Server) resetLocked() {
 	s.seq = 0
 }
 
-// InvokeRequest is the POST /invoke body.
+// InvokeRequest is the POST /invoke body. Both engines refuse a body
+// over maxInvokeBody (413) and millisecond fields beyond ±maxInvokeMS
+// (400).
 type InvokeRequest struct {
 	FnID int `json:"fn_id"`
 	// AtMS pins the virtual arrival time in milliseconds; omitted or
@@ -181,10 +185,43 @@ type InvokeResponse struct {
 	VirtualTimeMS int64 `json:"virtual_time_ms"`
 }
 
-func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
+// maxInvokeBody bounds a POST /invoke body in bytes; a valid request
+// is a few dozen bytes.
+const maxInvokeBody = 1 << 20
+
+// maxInvokeMS bounds at_ms and exec_ms in either sign: a quarter of the
+// millisecond range of time.Duration, so neither field wraps when
+// converted and the simulator's arrival + startup + exec + keep-alive
+// sums stay representable too.
+const maxInvokeMS = math.MaxInt64 / int64(time.Millisecond) / 4
+
+// decodeInvoke reads a POST /invoke body of at most maxInvokeBody bytes
+// and range-checks its millisecond fields. On failure it has already
+// answered — 413 for an oversized body, 400 otherwise — and returns
+// false.
+func decodeInvoke(w http.ResponseWriter, r *http.Request) (InvokeRequest, bool) {
 	var req InvokeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInvokeBody)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, "malformed body: %v", err)
+		return req, false
+	}
+	for _, v := range [...]int64{req.AtMS, req.ExecMS} {
+		if v > maxInvokeMS || v < -maxInvokeMS {
+			httpError(w, http.StatusBadRequest, "at_ms and exec_ms must lie within ±%d", maxInvokeMS)
+			return req, false
+		}
+	}
+	return req, true
+}
+
+func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
+	req, ok := decodeInvoke(w, r)
+	if !ok {
 		return
 	}
 	fn, ok := s.byID[req.FnID]

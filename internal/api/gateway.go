@@ -23,7 +23,6 @@
 package api
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -552,9 +551,8 @@ func (g *Gateway) Invoke(fnID int, at, exec time.Duration) (InvokeResponse, erro
 }
 
 func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	var req InvokeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "malformed body: %v", err)
+	req, ok := decodeInvoke(w, r)
+	if !ok {
 		return
 	}
 	at := time.Duration(-1)

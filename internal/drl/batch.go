@@ -1,6 +1,7 @@
 package drl
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -16,6 +17,9 @@ type BatchToken struct {
 	x    *nn.Tensor
 	dst  *nn.Tensor
 	done chan struct{}
+	// seq, once a QBatcher numbered the token (from 1), picks where its
+	// slot scan starts, so concurrent callers try different slots first.
+	seq uint32
 }
 
 // NewBatchToken allocates a reusable batching token.
@@ -23,60 +27,82 @@ func NewBatchToken() *BatchToken {
 	return &BatchToken{done: make(chan struct{}, 1)}
 }
 
-// QBatcher coalesces concurrent inference requests against one shared
-// Q-network into batched forward passes, amortizing the per-decision
-// synchronization that a plain mutex around the network would pay.
+// QBatcher serves concurrent inference requests against one shared
+// Q-network, running forward passes in parallel up to the CPU count
+// and coalescing the overflow into batched passes.
 //
-// It is a group-commit (leader/follower) design with no timers — the
-// flush latency bound is structural, not clock-driven: a request waits
-// at most one in-flight batch. Each caller enqueues its state and then
-// competes for the inference lock; whoever acquires it becomes the
-// leader, drains the queue (up to MaxBatch) and runs the whole batch
-// through the network in one ForwardBatchInto call while later
-// arrivals pile up behind the lock and into the next batch. Followers
-// whose result was computed by a leader return without ever touching
-// the network. Under load, batch size grows toward the concurrency
-// level and the per-request synchronization cost shrinks accordingly;
-// with a single caller every "batch" has size one and the path
-// degenerates to a mutexed ForwardInto.
+// It holds a fixed set of inference slots, GOMAXPROCS at construction.
+// Each slot is a replica of the wrapped network (nn.NewReplica): it
+// shares the network's parameters and owns its layer workspaces and
+// cached weight transposes, so slots compute concurrently while a
+// weight update on the wrapped network reaches every slot through the
+// parameter version check. A caller enqueues its state, then takes any
+// free slot with TryLock, scanning from its token's home slot (tokens
+// are numbered on first use, spreading concurrent callers over the
+// slots). The caller that gets a slot leads: it drains the queue (up
+// to MaxBatch) and runs the drained requests back-to-back through that
+// slot's replica in one ForwardBatchInto call. Followers whose result
+// a leader computed return without touching a network.
 //
-// Results are bit-identical to sequential ForwardInto calls: the
-// leader runs member states back-to-back through the network's single
-// reused workspace, and a forward pass depends only on the weights and
-// the input, never on workspace residue (the PR 3 hot-path contract).
+// Only when every slot is busy does a caller block, on its token's
+// home slot, and then group commit takes over with no timers: while
+// the slots are busy, later arrivals pile up in the queue and the next
+// leader serves them in one batch, so a blocked request waits out at
+// most its home slot's in-flight batch. With a single CPU there is one
+// slot and the path is the classic leader/follower group commit.
+//
+// Results are bit-identical to sequential ForwardInto calls on the
+// wrapped network: every slot reads the same weights, its transpose
+// caches are rebuilt from them by the same code, and a forward pass
+// depends only on the weights and the input, never on workspace
+// residue (the workspace contract of DESIGN.md §8).
 type QBatcher struct {
-	net      *QNetwork
 	maxBatch int
 
 	qmu   sync.Mutex // guards queue
 	queue []*BatchToken
 
-	imu   sync.Mutex    // inference lock: held by the current leader
-	batch []*BatchToken // leader's drain scratch, guarded by imu
+	slots  []*qslot
+	tokens atomic.Uint32 // numbers tokens on first use
 
 	requests atomic.Int64
 	batches  atomic.Int64
 	maxSeen  atomic.Int64
 }
 
-// NewQBatcher wraps net for concurrent batched inference. maxBatch
-// bounds one flush (<= 0 means 64); a bound keeps the tail latency of
-// a follower proportional to maxBatch forward passes even under
-// unbounded queue growth.
+// qslot is one inference slot: a network replica and its drain scratch,
+// both owned by whichever caller holds mu.
+type qslot struct {
+	mu    sync.Mutex
+	net   *QNetwork
+	batch []*BatchToken
+}
+
+// NewQBatcher wraps net for concurrent batched inference, with one
+// inference slot per GOMAXPROCS. maxBatch bounds one flush (<= 0 means
+// 64); a bound keeps the tail latency of a follower proportional to
+// maxBatch forward passes even under unbounded queue growth.
 func NewQBatcher(net *QNetwork, maxBatch int) *QBatcher {
 	if maxBatch <= 0 {
 		maxBatch = 64
 	}
-	return &QBatcher{net: net, maxBatch: maxBatch}
+	b := &QBatcher{maxBatch: maxBatch, slots: make([]*qslot, runtime.GOMAXPROCS(0))}
+	for i := range b.slots {
+		b.slots[i] = &qslot{net: net.replica()}
+	}
+	return b
 }
 
 // ForwardInto computes Q-values for state x into dst (grown when
-// needed) through the shared network, batching with whatever other
-// requests are in flight. t must be this caller's own reusable token.
-// The returned tensor is caller-owned, valid until the caller's next
-// ForwardInto with the same dst.
+// needed) through the shared network, in parallel with or batched
+// alongside whatever other requests are in flight. t must be this
+// caller's own reusable token. The returned tensor is caller-owned,
+// valid until the caller's next ForwardInto with the same dst.
 func (b *QBatcher) ForwardInto(t *BatchToken, dst, x *nn.Tensor) *nn.Tensor {
 	t.x, t.dst = x, dst
+	if t.seq == 0 {
+		t.seq = b.tokens.Add(1)
+	}
 	b.qmu.Lock()
 	b.queue = append(b.queue, t)
 	b.qmu.Unlock()
@@ -88,42 +114,61 @@ func (b *QBatcher) ForwardInto(t *BatchToken, dst, x *nn.Tensor) *nn.Tensor {
 			return t.dst
 		default:
 		}
-		b.imu.Lock()
+		s := b.acquire(t)
 		select {
 		case <-t.done: // served while waiting to lead
-			b.imu.Unlock()
+			s.mu.Unlock()
 			t.x = nil
 			return t.dst
 		default:
 		}
-		b.flushLocked()
-		b.imu.Unlock()
+		n := b.flush(s)
+		s.mu.Unlock()
+		if n == 0 {
+			// The queue was empty, so another slot's leader drained
+			// this request and is computing it now.
+			<-t.done
+			t.x = nil
+			return t.dst
+		}
 	}
 }
 
-// flushLocked drains up to maxBatch queued requests and serves them in
-// one batched forward pass. Caller holds imu.
-func (b *QBatcher) flushLocked() {
-	b.qmu.Lock()
-	n := len(b.queue)
-	if n > b.maxBatch {
-		n = b.maxBatch
+// acquire returns a locked slot: the first free one scanning from t's
+// home slot or, when every slot is busy, the home slot itself once its
+// current leader releases it.
+func (b *QBatcher) acquire(t *BatchToken) *qslot {
+	n := uint32(len(b.slots))
+	home := t.seq % n
+	for i := uint32(0); i < n; i++ {
+		if s := b.slots[(home+i)%n]; s.mu.TryLock() {
+			return s
+		}
 	}
-	b.batch = b.batch[:0]
-	for i := 0; i < n; i++ {
-		b.batch = append(b.batch, b.queue[i])
+	s := b.slots[home]
+	s.mu.Lock()
+	return s
+}
+
+// flush drains up to maxBatch queued requests and serves them in one
+// batched forward pass through slot s, returning how many it served.
+// Caller holds s.mu.
+func (b *QBatcher) flush(s *qslot) int {
+	b.qmu.Lock()
+	n := min(len(b.queue), b.maxBatch)
+	s.batch = s.batch[:0]
+	for _, r := range b.queue[:n] {
+		s.batch = append(s.batch, r)
 	}
 	rest := copy(b.queue, b.queue[n:])
-	for i := rest; i < len(b.queue); i++ {
-		b.queue[i] = nil
-	}
+	clear(b.queue[rest:])
 	b.queue = b.queue[:rest]
 	b.qmu.Unlock()
 	if n == 0 {
-		return
+		return 0
 	}
-	b.net.ForwardBatchInto(b.batch)
-	for _, r := range b.batch {
+	s.net.ForwardBatchInto(s.batch)
+	for _, r := range s.batch {
 		r.done <- struct{}{}
 	}
 	b.batches.Add(1)
@@ -133,6 +178,7 @@ func (b *QBatcher) flushLocked() {
 			break
 		}
 	}
+	return n
 }
 
 // Requests is the total number of ForwardInto calls served.

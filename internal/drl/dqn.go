@@ -118,9 +118,11 @@ func (a *Agent) Config() AgentConfig { return a.cfg }
 // Replay exposes the experience pool.
 func (a *Agent) Replay() *Replay { return a.replay }
 
-// Online exposes the online Q-network — the weights a QBatcher shares
-// across concurrent inference clients. Mutating it while serving is the
-// caller's race to avoid.
+// Online exposes the online Q-network — the network a QBatcher wraps.
+// The batcher's inference slots are replicas sharing these parameters,
+// so a weight update (Load, CopyWeightsFrom, a training step) reaches
+// every slot; running one while the batcher serves is the caller's
+// race to avoid.
 func (a *Agent) Online() *QNetwork { return a.online }
 
 // Updates returns the number of gradient updates applied.

@@ -102,16 +102,24 @@ func (q *QNetwork) ForwardInto(dst *nn.Tensor, state *nn.Tensor) *nn.Tensor {
 }
 
 // ForwardBatchInto runs the inference forward pass for every token in
-// reqs back-to-back through the network's single reused workspace,
-// writing each result into the token's caller-owned dst. One call
-// serves a whole QBatcher flush; each member's result is bit-identical
-// to a standalone ForwardInto on its state (a forward pass depends
-// only on weights and input). Not safe for concurrent use — the
-// QBatcher's inference lock serializes callers.
+// reqs back-to-back through this network's reused workspace, writing
+// each result into the token's caller-owned dst. One call serves a
+// whole QBatcher flush; each member's result is bit-identical to a
+// standalone ForwardInto on its state (a forward pass depends only on
+// weights and input). Not safe for concurrent use on one network — a
+// QBatcher runs concurrent flushes on separate replicas, each behind
+// its own slot lock.
 func (q *QNetwork) ForwardBatchInto(reqs []*BatchToken) {
 	for _, r := range reqs {
 		r.dst = q.ForwardInto(r.dst, r.x)
 	}
+}
+
+// replica returns an inference copy of q that shares its parameters
+// but owns its workspaces (nn.NewReplica), so it can run forward passes
+// concurrently with q's other replicas.
+func (q *QNetwork) replica() *QNetwork {
+	return &QNetwork{cfg: q.cfg, net: nn.NewReplica(q.net)}
 }
 
 // MaskedArgmax returns the valid action with the highest Q-value and that

@@ -58,8 +58,8 @@ var hotRoots = []struct {
 	{pkg: "mlcr/internal/cluster", name: "Route", methodOnly: true},
 	// The concurrent gateway's per-invocation serving path: the
 	// lock-free fast-layer claim plus the sharded slow path (gwState
-	// serve) and its completion drain. The QBatcher collector loop is
-	// covered by the drl ForwardInto root above.
+	// serve) and its completion drain. The QBatcher's slot scan and
+	// per-slot flush are covered by the drl ForwardInto root above.
 	{pkg: "mlcr/internal/api", name: "serve", methodOnly: true},
 }
 

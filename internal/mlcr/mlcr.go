@@ -181,7 +181,9 @@ func (s *Scheduler) SetProfiler(p *perf.Profiler) { s.prof = p }
 // SetBatcher routes this scheduler's greedy-inference forward passes
 // through a shared QBatcher — typically wrapping the master model's
 // online network (Agent().Online()) while per-shard clones carry the
-// same weights, so batched Q-values and hence decisions are
+// same weights. The batcher runs concurrent callers' passes in
+// parallel on per-CPU replicas of that network, batching only when
+// every replica is busy; its Q-values and hence decisions are
 // bit-identical to each clone's own sequential inference. Exploration
 // and training paths keep using the scheduler's private agent; attach
 // a batcher only to inference-mode schedulers. Nil detaches.

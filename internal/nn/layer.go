@@ -299,6 +299,39 @@ func (s *Sequential) Params() []*Param {
 	return out
 }
 
+// NewReplica builds an inference replica of s: every layer shares its
+// *Param values (weights and update versions) with s but owns fresh
+// workspaces and weight-transpose caches, so replicas may run Forward
+// concurrently with each other. Weights are not copied — a later Load,
+// CopyParams or optimizer step on s reaches every replica through the
+// Param version check. Backward on a replica accumulates into the
+// shared gradients and is not for concurrent use. NewReplica panics on
+// a layer type it does not know.
+func NewReplica(s *Sequential) *Sequential {
+	r := &Sequential{Layers: make([]Layer, len(s.Layers))}
+	for i, l := range s.Layers {
+		r.Layers[i] = replicaOf(l)
+	}
+	return r
+}
+
+// replicaOf returns a parameter-sharing copy of l with empty workspaces.
+func replicaOf(l Layer) Layer {
+	switch l := l.(type) {
+	case *Linear:
+		return &Linear{In: l.In, Out: l.Out, Weight: l.Weight, Bias: l.Bias}
+	case *LayerNorm:
+		return &LayerNorm{Dim: l.Dim, Gain: l.Gain, Bias: l.Bias, Eps: l.Eps}
+	case *MultiHeadAttention:
+		return &MultiHeadAttention{Dim: l.Dim, Heads: l.Heads, Wq: l.Wq, Wk: l.Wk, Wv: l.Wv, Wo: l.Wo}
+	case *ReLU:
+		return &ReLU{}
+	case *Flatten:
+		return &Flatten{}
+	}
+	panic(fmt.Sprintf("nn: cannot replicate layer %T", l))
+}
+
 // Flatten reshapes an [rows, cols] tensor into [1, rows*cols] on the way
 // forward and restores the shape on the way back. It lets the Q-network
 // map per-token attention outputs to a single action-value vector.

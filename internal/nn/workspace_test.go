@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -209,3 +210,64 @@ func TestWorkspaceBuffersDoNotLeakState(t *testing.T) {
 	fresh := NewLinear("l", 3, 2, rand.New(rand.NewSource(21)))
 	equalTensors(t, "shrunk forward", got, fresh.Forward(small))
 }
+
+// TestReplicaSharesParams pins the NewReplica contract: a replica holds
+// the master's *Param values (no copies), its forward pass is
+// bit-identical to the master's, and a weight update on the master —
+// optimizer step, CopyParams or Load — reaches the replica through the
+// version check on its own transpose caches.
+func TestReplicaSharesParams(t *testing.T) {
+	net := buildNet(31)
+	rep := NewReplica(net)
+	mp, rp := net.Params(), rep.Params()
+	if len(mp) != len(rp) {
+		t.Fatalf("replica has %d params, master %d", len(rp), len(mp))
+	}
+	for i := range mp {
+		if mp[i] != rp[i] {
+			t.Fatalf("param %d (%s) is copied, want shared", i, mp[i].Name)
+		}
+	}
+	rng := rand.New(rand.NewSource(32))
+	x := NewTensor(5, 12).Randn(rng, 1)
+	check := func(stage string) {
+		t.Helper()
+		want := net.Forward(x).Clone()
+		equalTensors(t, stage, rep.Forward(x), want)
+	}
+	check("fresh")
+
+	net.Forward(x)
+	net.Backward(NewTensor(1, 6).Randn(rng, 1))
+	NewAdam(net.Params(), 0.05).Step()
+	check("after optimizer step")
+
+	CopyParams(net.Params(), buildNet(33).Params())
+	check("after CopyParams")
+
+	var buf bytes.Buffer
+	if err := Save(&buf, buildNet(34).Params()); err != nil {
+		t.Fatal(err)
+	}
+	if err := Load(&buf, net.Params()); err != nil {
+		t.Fatal(err)
+	}
+	check("after Load")
+}
+
+// TestReplicaRejectsUnknownLayer checks NewReplica refuses a layer type
+// it cannot rebuild rather than silently sharing its workspace.
+func TestReplicaRejectsUnknownLayer(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewReplica accepted an unknown layer type")
+		}
+	}()
+	NewReplica(&Sequential{Layers: []Layer{opaqueLayer{}}})
+}
+
+type opaqueLayer struct{}
+
+func (opaqueLayer) Forward(x *Tensor) *Tensor   { return x }
+func (opaqueLayer) Backward(dy *Tensor) *Tensor { return dy }
+func (opaqueLayer) Params() []*Param            { return nil }
