@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -346,9 +347,11 @@ func TestRouteSteadyStateZeroAlloc(t *testing.T) {
 // the observer's registry.
 func TestClusterRoutingObservability(t *testing.T) {
 	w := fstartbench.Build(fstartbench.Uniform, 1, fstartbench.Options{Count: 90})
-	var tick time.Duration
+	// The route shards read the clock concurrently, so the fake one
+	// must be safe for that, as the real one is.
+	var tick atomic.Int64
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
-	o.Perf = perf.New(func() time.Duration { tick += time.Microsecond; return tick })
+	o.Perf = perf.New(func() time.Duration { return time.Duration(tick.Add(int64(time.Microsecond))) })
 	cfg := mkCfg(3, RoundRobin, 3000)
 	cfg.Obs = o
 	res := Run(cfg, w)

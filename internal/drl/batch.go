@@ -33,10 +33,10 @@ func NewBatchToken() *BatchToken {
 //
 // It holds a fixed set of inference slots, GOMAXPROCS at construction.
 // Each slot is a replica of the wrapped network (nn.NewReplica): it
-// shares the network's parameters and owns its layer workspaces and
-// cached weight transposes, so slots compute concurrently while a
-// weight update on the wrapped network reaches every slot through the
-// parameter version check. A caller enqueues its state, then takes any
+// shares the network's parameters and owns its layer workspaces, so
+// slots compute concurrently while a weight update on the wrapped
+// network reaches every slot at once (forward passes read the shared
+// weights directly). A caller enqueues its state, then takes any
 // free slot with TryLock, scanning from its token's home slot (tokens
 // are numbered on first use, spreading concurrent callers over the
 // slots). The caller that gets a slot leads: it drains the queue (up
@@ -52,9 +52,8 @@ func NewBatchToken() *BatchToken {
 // slot and the path is the classic leader/follower group commit.
 //
 // Results are bit-identical to sequential ForwardInto calls on the
-// wrapped network: every slot reads the same weights, its transpose
-// caches are rebuilt from them by the same code, and a forward pass
-// depends only on the weights and the input, never on workspace
+// wrapped network: every slot reads the same weights, and a forward
+// pass depends only on the weights and the input, never on workspace
 // residue (the workspace contract of DESIGN.md §8).
 type QBatcher struct {
 	maxBatch int

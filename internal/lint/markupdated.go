@@ -13,9 +13,9 @@ import (
 // parameter's weight storage — assigning through p.W.Data, copying
 // into it, calling a mutating Tensor method on p.W, or passing p.W as
 // the destination of an *Into op — must call MarkUpdated in the same
-// function, or inference silently serves a stale transpose. The bug
-// is vicious precisely because nothing crashes: Q-values just drift
-// from the weights.
+// function, or backprop silently uses a stale transpose. The bug is
+// vicious precisely because nothing crashes: gradients just drift from
+// the weights.
 //
 // The check is lexical and per-function: a function that performs a
 // recognized weight write must also contain a MarkUpdated call.
@@ -60,7 +60,7 @@ func runMarkUpdated(p *Pass) {
 			}
 			for _, w := range writes {
 				p.Reportf(w.Pos(),
-					"%s writes Param weight storage but %s never calls MarkUpdated — stale cached transposes will be served (DESIGN.md §8)",
+					"%s writes Param weight storage but %s never calls MarkUpdated — backprop will use a stale cached transpose (DESIGN.md §8)",
 					w.what, fn.Name.Name)
 			}
 		}

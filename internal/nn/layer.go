@@ -80,7 +80,7 @@ type Linear struct {
 	y  *Tensor        // forward output
 	dx *Tensor        // input gradient
 	dw *Tensor        // weight-gradient scratch (summed into Weight.Grad)
-	wT paramTranspose // cached Weightᵀ for the input-gradient matmul
+	wT paramTranspose // cached Weightᵀ for the backward input-gradient matmul
 }
 
 // NewLinear creates a linear layer with He-initialized weights.
@@ -101,7 +101,7 @@ func (l *Linear) Forward(x *Tensor) *Tensor {
 	}
 	l.x = x
 	l.y = EnsureTensor(l.y, x.Rows, l.Out)
-	y := matMulViaTInto(l.y, x, l.wT.of(l.Weight))
+	y := MatMulInto(l.y, x, l.Weight.W)
 	for r := 0; r < y.Rows; r++ {
 		row := y.Row(r)
 		for j, b := range l.Bias.W.Data {
@@ -301,9 +301,10 @@ func (s *Sequential) Params() []*Param {
 
 // NewReplica builds an inference replica of s: every layer shares its
 // *Param values (weights and update versions) with s but owns fresh
-// workspaces and weight-transpose caches, so replicas may run Forward
-// concurrently with each other. Weights are not copied — a later Load,
-// CopyParams or optimizer step on s reaches every replica through the
+// workspaces and (backward-only) weight-transpose caches, so replicas
+// may run Forward concurrently with each other. Weights are not copied
+// — a later Load, CopyParams or optimizer step on s reaches every
+// replica's Forward at once, and its transpose caches through the
 // Param version check. Backward on a replica accumulates into the
 // shared gradients and is not for concurrent use. NewReplica panics on
 // a layer type it does not know.

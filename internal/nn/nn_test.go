@@ -43,8 +43,8 @@ func checkGrads(t *testing.T, l Layer, x *Tensor, tol float64) {
 			t.Fatalf("input grad[%d] = %v, numeric %v", i, dx.Data[i], num)
 		}
 	}
-	// Parameter gradients. Direct W.Data writes must MarkUpdated so the
-	// forward pass drops its cached transpose (DESIGN.md §8).
+	// Parameter gradients. Direct W.Data writes must MarkUpdated so
+	// backprop drops its cached transpose (DESIGN.md §8).
 	for _, p := range l.Params() {
 		for i := range p.W.Data {
 			orig := p.W.Data[i]

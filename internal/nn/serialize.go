@@ -29,8 +29,10 @@ func Save(w io.Writer, params []*Param) error {
 	return gob.NewEncoder(w).Encode(s)
 }
 
-// Load reads parameter values from r into params, matching by name and
-// verifying shapes. Every parameter must be present.
+// Load reads parameter values from r into params, matching by name. It
+// validates the whole snapshot first — every parameter present, with its
+// shape and exactly Rows*Cols values — and only then copies, so a failed
+// Load leaves every parameter untouched.
 func Load(r io.Reader, params []*Param) error {
 	var s snapshot
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
@@ -45,7 +47,13 @@ func Load(r io.Reader, params []*Param) error {
 			return fmt.Errorf("nn: parameter %q shape %dx%d, snapshot has %dx%d",
 				p.Name, p.W.Rows, p.W.Cols, sp.Rows, sp.Cols)
 		}
-		copy(p.W.Data, sp.Data)
+		if len(sp.Data) != sp.Rows*sp.Cols {
+			return fmt.Errorf("nn: parameter %q is %dx%d, snapshot carries %d values",
+				p.Name, sp.Rows, sp.Cols, len(sp.Data))
+		}
+	}
+	for _, p := range params {
+		copy(p.W.Data, s.Params[p.Name].Data)
 		p.MarkUpdated()
 	}
 	return nil

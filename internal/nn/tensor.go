@@ -126,7 +126,8 @@ func TransposeInto(dst, src *Tensor) {
 // axpyRow computes orow[j] += av*brow[j] for every j, 4-way unrolled.
 // Output elements are independent, so the unroll changes instruction
 // scheduling only — every orow[j] sees the same single add it would in
-// the plain loop.
+// the plain loop. It is the portable matmul path (no AVX, or a GOARCH
+// other than amd64) and the reference the AVX kernel must match.
 func axpyRow(orow, brow []float64, av float64) {
 	n := len(brow)
 	orow = orow[:n]
@@ -142,11 +143,21 @@ func axpyRow(orow, brow []float64, av float64) {
 	}
 }
 
-// matMulAcc accumulates a×b into out without zeroing it first. The loop
-// order (k ascending per output element, exact-zero lhs entries skipped)
-// is the single definition shared by MatMul and MatMulInto so the two are
-// bit-identical by construction.
+// matMulAcc accumulates a×b into out without zeroing it first. The order
+// (k ascending per output element, exact-zero lhs entries skipped) is the
+// single definition shared by MatMul and MatMulInto, so the two are
+// bit-identical by construction. With AVX each output row goes to
+// rowAccAVX, which keeps column blocks in registers across the k loop
+// and performs the same multiplies and adds in the same order as the
+// axpyRow sweeps below.
 func matMulAcc(out, a, b *Tensor) {
+	if useAVX {
+		bd := b.Data[:b.Rows*b.Cols]
+		for i := 0; i < a.Rows; i++ {
+			rowAccAVX(out.Row(i), a.Row(i), 1, bd, b.Cols, a.Cols)
+		}
+		return
+	}
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
@@ -205,88 +216,6 @@ func dotRow(arow, brow []float64) float64 {
 	return s
 }
 
-// dotSkipRow is dotRow with matMulAcc's exact-zero skip: a zero arow
-// entry contributes nothing rather than adding ±0.
-func dotSkipRow(arow, brow []float64) float64 {
-	brow = brow[:len(arow)]
-	var s float64
-	for k, av := range arow {
-		if av != 0 {
-			s += av * brow[k]
-		}
-	}
-	return s
-}
-
-// matMulViaTInto computes a×b into dst given bt = bᵀ. Every dst element
-// is a register-resident dot accumulated k ascending with exact-zero a
-// entries skipped — the same adds, in the same order, as matMulAcc over
-// a zeroed dst, so MatMul(a, b) and matMulViaTInto(dst, a, bᵀ) are
-// bit-identical. The transposed layout turns the hot inner loop from
-// load-add-store (axpyRow) into four independent register accumulations.
-func matMulViaTInto(dst, a, bt *Tensor) *Tensor {
-	if a.Cols != bt.Cols {
-		panic(fmt.Sprintf("nn: matmulViaT %dx%d × (%dx%d)ᵀᵀ", a.Rows, a.Cols, bt.Rows, bt.Cols))
-	}
-	if dst.Rows != a.Rows || dst.Cols != bt.Rows {
-		panic(fmt.Sprintf("nn: matmulViaT into %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, bt.Rows))
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		j := 0
-		// 8 accumulator chains keep the FP adders busy across the
-		// ~4-cycle add latency; each chain is still k-ascending.
-		for ; j+7 < len(drow); j += 8 {
-			b0 := bt.Row(j)[:len(arow)]
-			b1 := bt.Row(j + 1)[:len(arow)]
-			b2 := bt.Row(j + 2)[:len(arow)]
-			b3 := bt.Row(j + 3)[:len(arow)]
-			b4 := bt.Row(j + 4)[:len(arow)]
-			b5 := bt.Row(j + 5)[:len(arow)]
-			b6 := bt.Row(j + 6)[:len(arow)]
-			b7 := bt.Row(j + 7)[:len(arow)]
-			var s0, s1, s2, s3, s4, s5, s6, s7 float64
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
-				s4 += av * b4[k]
-				s5 += av * b5[k]
-				s6 += av * b6[k]
-				s7 += av * b7[k]
-			}
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-			drow[j+4], drow[j+5], drow[j+6], drow[j+7] = s4, s5, s6, s7
-		}
-		for ; j+3 < len(drow); j += 4 {
-			b0 := bt.Row(j)[:len(arow)]
-			b1 := bt.Row(j + 1)[:len(arow)]
-			b2 := bt.Row(j + 2)[:len(arow)]
-			b3 := bt.Row(j + 3)[:len(arow)]
-			var s0, s1, s2, s3 float64
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
-			}
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < len(drow); j++ {
-			drow[j] = dotSkipRow(arow, bt.Row(j))
-		}
-	}
-	return dst
-}
-
 // MatMulT returns a×bᵀ.
 func MatMulT(a, b *Tensor) *Tensor {
 	if a.Cols != b.Cols {
@@ -310,8 +239,20 @@ func MatMulTInto(dst, a, b *Tensor) *Tensor {
 	return dst
 }
 
-// tMatMulAcc accumulates aᵀ×b into out without zeroing it first.
+// tMatMulAcc accumulates aᵀ×b into out without zeroing it first. Each
+// output element (i, j) adds a[k][i]·b[k][j] for k ascending, skipping
+// exact-zero a entries. The AVX path walks output rows instead of k, so
+// row i reads column i of a with stride a.Cols: the same terms in the
+// same order per element, now accumulated in registers.
 func tMatMulAcc(out, a, b *Tensor) {
+	if useAVX && a.Rows > 0 {
+		ad := a.Data[:a.Rows*a.Cols]
+		bd := b.Data[:b.Rows*b.Cols]
+		for i := 0; i < a.Cols; i++ {
+			rowAccAVX(out.Row(i), ad[i:], a.Cols, bd, b.Cols, a.Rows)
+		}
+		return
+	}
 	for k := 0; k < a.Rows; k++ {
 		arow := a.Row(k)
 		brow := b.Row(k)

@@ -21,6 +21,10 @@ fi
 echo "== make vet (go vet + mlcr-vet: determinism + hot-path contracts, DESIGN.md §9, §14) =="
 ${MAKE:-make} vet
 
+echo "== portable matmul fallback (non-amd64 build + vet of internal/nn) =="
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/nn
+
 echo "== mlcr-vet hotalloc smoke (call-graph hot-path alloc contract alone, DESIGN.md §14) =="
 go run ./cmd/mlcr-vet -run hotalloc ./...
 
