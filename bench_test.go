@@ -320,6 +320,28 @@ func BenchmarkQNetworkForward(b *testing.B) {
 	}
 }
 
+// BenchmarkQNetworkForwardSparse is BenchmarkQNetworkForward on a state
+// the featurizer built at a real decision point (four slots, as served
+// by the gateway's MLCR model): mostly exact zeros, which the embed
+// layer's matmul skips, where the dense Randn input of the benchmark
+// above skips nothing.
+func BenchmarkQNetworkForwardSparse(b *testing.B) {
+	feat := &drl.Featurizer{Slots: 4, NormMB: 2048}
+	w := fstartbench.Build(fstartbench.Uniform, 3, fstartbench.Options{Count: 40})
+	cap := envCapture{feat: feat}
+	p := platform.New(platform.Config{PoolCapacityMB: experiments.CalibrateLoose(w), Evictor: evict.NewLRU()}, &cap)
+	p.Run(w)
+	if cap.inv == nil {
+		b.Fatal("no decision point captured")
+	}
+	x := feat.Build(cap.env, cap.inv).X
+	q := drl.NewQNetwork(drl.QConfig{Tokens: feat.Tokens(), Width: feat.Width(), Actions: feat.Actions(), Dim: 24, Heads: 2, Hidden: 48}, rand.New(rand.NewSource(1)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Forward(x)
+	}
+}
+
 func BenchmarkDQNTrainStep(b *testing.B) {
 	cfg := drl.AgentConfig{
 		Q:         drl.QConfig{Tokens: 6, Width: 39, Actions: 5, Dim: 24, Heads: 2, Hidden: 48},

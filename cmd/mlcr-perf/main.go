@@ -89,14 +89,17 @@ func main() {
 			fmt.Printf("bench-check: no baseline at %s; nothing to compare (run `make bench-all` to create one)\n", *baseline)
 		default:
 			regs, skipped := perfbench.Compare(base, rep, perfbench.DefaultThresholds())
+			if skipped != "" {
+				fmt.Printf("bench-check: partial comparison: %s\n", skipped)
+			}
 			switch {
-			case skipped != "":
-				fmt.Printf("bench-check: comparison skipped: %s\n", skipped)
 			case len(regs) > 0:
 				for _, r := range regs {
 					fmt.Fprintf(os.Stderr, "bench-check: REGRESSION %s\n", r)
 				}
 				failed = true
+			case skipped != "":
+				fmt.Printf("bench-check: no regression among the compared entries of %s\n", *baseline)
 			default:
 				fmt.Printf("bench-check: %d entries within thresholds of %s\n", len(rep.Entries), *baseline)
 			}

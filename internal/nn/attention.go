@@ -26,14 +26,12 @@ type MultiHeadAttention struct {
 	headsOut *Tensor   // concatenated head outputs [seq, dim]
 
 	// Workspace: buffers reused across calls so steady-state
-	// Forward/Backward allocates nothing. Per-head scratches are reused
-	// sequentially (heads are processed one at a time).
+	// Forward/Backward allocates nothing. Heads are never copied out:
+	// head h is the column block [h·dk, (h+1)·dk) of q, k, v and of
+	// their gradients, read and written in place with row stride Dim.
 	out                    *Tensor // forward output
-	qh, kh, vh             *Tensor // per-head column slices
-	scores, hv             *Tensor // per-head score / weighted-value scratch
 	dx, dHeads, dq, dk, dv *Tensor // backward accumulators
-	dHh, dA, dVh           *Tensor // per-head backward scratches
-	dS, dQh, dKh           *Tensor
+	dA, dS                 *Tensor // per-head [seq, seq] backward scratches
 	gw                     *Tensor // dim×dim weight-gradient scratch
 	dxTerm                 *Tensor // seq×dim input-gradient term scratch
 	// cached transposes of the projection weights for the backward
@@ -62,41 +60,22 @@ func NewMultiHeadAttention(name string, dim, heads int, rng *rand.Rand) *MultiHe
 	return m
 }
 
-// colSliceInto copies columns [start, start+out.Cols) of t into out.
-func colSliceInto(out, t *Tensor, start int) *Tensor {
-	for r := 0; r < t.Rows; r++ {
-		copy(out.Row(r), t.Row(r)[start:start+out.Cols])
-	}
-	return out
-}
-
-// addColSlice adds src into columns [start, start+src.Cols) of dst.
-func addColSlice(dst, src *Tensor, start int) {
-	for r := 0; r < dst.Rows; r++ {
-		drow := dst.Row(r)[start : start+src.Cols]
-		for i, v := range src.Row(r) {
-			drow[i] += v
-		}
-	}
-}
-
-// ensureHeadScratch sizes the per-head scratch buffers for a seq×dim
-// input split into heads of width dk.
-func (m *MultiHeadAttention) ensureHeadScratch(rows, dk int) {
-	m.qh = EnsureTensor(m.qh, rows, dk)
-	m.kh = EnsureTensor(m.kh, rows, dk)
-	m.vh = EnsureTensor(m.vh, rows, dk)
-}
-
-// Forward implements Layer. x is [seq, dim].
+// Forward implements Layer. x is [seq, dim]. Per head, the scores
+// read the head's column blocks of q and k in place, scaled by 1/√d_k
+// as they are written, and are normalized in place; softmax×v_h reads
+// v's column block with row stride Dim and accumulates straight into
+// the head's block of the zeroed headsOut. The result is bit-identical
+// to MatMulT, Scale and MatMul on copied heads added into headsOut: a
+// sum that starts from +0 is never −0, and +0 + s = s for every other s.
 func (m *MultiHeadAttention) Forward(x *Tensor) *Tensor {
 	if x.Cols != m.Dim {
 		panic(fmt.Sprintf("nn: attention expects width %d, got %d", m.Dim, x.Cols))
 	}
 	m.x = x
-	m.q = EnsureTensor(m.q, x.Rows, m.Dim)
-	m.k = EnsureTensor(m.k, x.Rows, m.Dim)
-	m.v = EnsureTensor(m.v, x.Rows, m.Dim)
+	rows := x.Rows
+	m.q = EnsureTensor(m.q, rows, m.Dim)
+	m.k = EnsureTensor(m.k, rows, m.Dim)
+	m.v = EnsureTensor(m.v, rows, m.Dim)
 	MatMulInto(m.q, x, m.Wq.W)
 	MatMulInto(m.k, x, m.Wk.W)
 	MatMulInto(m.v, x, m.Wv.W)
@@ -105,29 +84,29 @@ func (m *MultiHeadAttention) Forward(x *Tensor) *Tensor {
 	if len(m.attn) != m.Heads {
 		m.attn = make([]*Tensor, m.Heads)
 	}
-	m.headsOut = EnsureTensor(m.headsOut, x.Rows, m.Dim)
+	m.headsOut = EnsureTensor(m.headsOut, rows, m.Dim)
 	m.headsOut.Zero()
-	m.ensureHeadScratch(x.Rows, dk)
-	m.scores = EnsureTensor(m.scores, x.Rows, x.Rows)
-	m.hv = EnsureTensor(m.hv, x.Rows, dk)
 	for h := 0; h < m.Heads; h++ {
 		start := h * dk
-		qh := colSliceInto(m.qh, m.q, start)
-		kh := colSliceInto(m.kh, m.k, start)
-		vh := colSliceInto(m.vh, m.v, start)
-		MatMulTInto(m.scores, qh, kh)
-		m.scores.Scale(scale) // [seq, seq]
-		m.attn[h] = EnsureTensor(m.attn[h], x.Rows, x.Rows)
-		a := SoftmaxRowsInto(m.attn[h], m.scores)
-		addColSlice(m.headsOut, MatMulInto(m.hv, a, vh), start)
+		m.attn[h] = EnsureTensor(m.attn[h], rows, rows)
+		a := m.attn[h]
+		for i := 0; i < rows; i++ {
+			dotRowsInto(a.Row(i), m.q.Row(i)[start:start+dk], m.k.Data[start:], m.Dim, scale)
+		}
+		SoftmaxRowsInto(a, a)
+		for i := 0; i < rows; i++ {
+			rowAcc(m.headsOut.Row(i)[start:start+dk], a.Row(i), 1, m.v.Data[start:], m.Dim, rows)
+		}
 	}
-	m.out = EnsureTensor(m.out, x.Rows, m.Dim)
+	m.out = EnsureTensor(m.out, rows, m.Dim)
 	out := MatMulInto(m.out, m.headsOut, m.Wo.W)
 	AddInto(out, x) // residual
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. Head gradients use Forward's column
+// blocks in place and accumulate straight into the head's block of the
+// zeroed dq, dk and dv, bit-identical for the same reason.
 func (m *MultiHeadAttention) Backward(dy *Tensor) *Tensor {
 	rows := m.x.Rows
 	// Residual path.
@@ -150,30 +129,22 @@ func (m *MultiHeadAttention) Backward(dy *Tensor) *Tensor {
 	dq.Zero()
 	dkT.Zero()
 	dv.Zero()
-	m.ensureHeadScratch(rows, dk)
-	m.dHh = EnsureTensor(m.dHh, rows, dk)
 	m.dA = EnsureTensor(m.dA, rows, rows)
-	m.dVh = EnsureTensor(m.dVh, rows, dk)
 	m.dS = EnsureTensor(m.dS, rows, rows)
-	m.dQh = EnsureTensor(m.dQh, rows, dk)
-	m.dKh = EnsureTensor(m.dKh, rows, dk)
 	for h := 0; h < m.Heads; h++ {
-		start := h * dk
-		dHh := colSliceInto(m.dHh, dHeads, start)
-		qh := colSliceInto(m.qh, m.q, start)
-		kh := colSliceInto(m.kh, m.k, start)
-		vh := colSliceInto(m.vh, m.v, start)
+		start, end := h*dk, (h+1)*dk
 		a := m.attn[h]
-
-		dA := MatMulTInto(m.dA, dHh, vh)  // [seq, seq]
-		dVh := TMatMulInto(m.dVh, a, dHh) // [seq, dk]
-		dS := softmaxBackwardRowsInto(m.dS, a, dA).Scale(scale)
-		dQh := MatMulInto(m.dQh, dS, kh)  // [seq, dk]
-		dKh := TMatMulInto(m.dKh, dS, qh) // [seq, dk]
-
-		addColSlice(dq, dQh, start)
-		addColSlice(dkT, dKh, start)
-		addColSlice(dv, dVh, start)
+		// dA = dH_h×V_hᵀ, dV_h = Aᵀ×dH_h  [seq, seq], [seq, dk]
+		for i := 0; i < rows; i++ {
+			dotRowsInto(m.dA.Row(i), dHeads.Row(i)[start:end], m.v.Data[start:], m.Dim, 1)
+			rowAcc(dv.Row(i)[start:end], a.Data[i:], rows, dHeads.Data[start:], m.Dim, rows)
+		}
+		dS := softmaxBackwardRowsInto(m.dS, a, m.dA).Scale(scale)
+		// dQ_h = dS×K_h, dK_h = dSᵀ×Q_h  [seq, dk]
+		for i := 0; i < rows; i++ {
+			rowAcc(dq.Row(i)[start:end], dS.Row(i), 1, m.k.Data[start:], m.Dim, rows)
+			rowAcc(dkT.Row(i)[start:end], dS.Data[i:], rows, m.q.Data[start:], m.Dim, rows)
+		}
 	}
 
 	AddInto(m.Wq.Grad, TMatMulInto(m.gw, m.x, dq))

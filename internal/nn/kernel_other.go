@@ -2,8 +2,8 @@
 
 package nn
 
-// useAVX is false off amd64: matMulAcc and tMatMulAcc always run the
-// portable axpyRow loops.
+// useAVX is false off amd64: rowAcc, behind every zero-skipping matmul,
+// always runs the portable axpyRow loops.
 var useAVX = false
 
 // rowAccAVX exists only so tensor.go compiles on every GOARCH; useAVX

@@ -201,7 +201,11 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 	return ln
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Rows go in pairs: one sweep over the
+// columns feeds both rows' mean sums, a second both rows' variance
+// sums, each row in its own accumulator. The two add chains are
+// independent and overlap, while each row's sums still run in column
+// order, exactly as for a row alone. An odd last row runs alone.
 func (ln *LayerNorm) Forward(x *Tensor) *Tensor {
 	if x.Cols != ln.Dim {
 		panic(fmt.Sprintf("nn: layernorm expects width %d, got %d", ln.Dim, x.Cols))
@@ -213,29 +217,57 @@ func (ln *LayerNorm) Forward(x *Tensor) *Tensor {
 	}
 	ln.invStd = ln.invStd[:x.Rows]
 	ln.y = EnsureTensor(ln.y, x.Rows, x.Cols)
-	y := ln.y
-	for r := 0; r < x.Rows; r++ {
-		row := x.Row(r)
-		var mean float64
-		for _, v := range row {
-			mean += v
+	n := float64(x.Cols)
+	r := 0
+	for ; r+2 <= x.Rows; r += 2 {
+		x0 := x.Row(r)
+		x1 := x.Row(r + 1)[:len(x0)]
+		var s0, s1 float64
+		for i, v := range x0 {
+			s0 += v
+			s1 += x1[i]
 		}
-		mean /= float64(len(row))
-		var varsum float64
+		m0, m1 := s0/n, s1/n
+		var q0, q1 float64
+		for i, v := range x0 {
+			d0, d1 := v-m0, x1[i]-m1
+			q0 += d0 * d0
+			q1 += d1 * d1
+		}
+		ln.normRow(r, m0, 1/math.Sqrt(q0/n+ln.Eps))
+		ln.normRow(r+1, m1, 1/math.Sqrt(q1/n+ln.Eps))
+	}
+	if r < x.Rows {
+		row := x.Row(r)
+		var s float64
+		for _, v := range row {
+			s += v
+		}
+		mean := s / n
+		var q float64
 		for _, v := range row {
 			d := v - mean
-			varsum += d * d
+			q += d * d
 		}
-		inv := 1 / math.Sqrt(varsum/float64(len(row))+ln.Eps)
-		ln.invStd[r] = inv
-		nrow, yrow := ln.norm.Row(r), y.Row(r)
-		for i, v := range row {
-			n := (v - mean) * inv
-			nrow[i] = n
-			yrow[i] = n*ln.Gain.W.Data[i] + ln.Bias.W.Data[i]
-		}
+		ln.normRow(r, mean, 1/math.Sqrt(q/n+ln.Eps))
 	}
-	return y
+	return ln.y
+}
+
+// normRow writes row r's normalized values and its gained and biased
+// output, given the row's mean and inverse standard deviation. Gain
+// and bias are resliced to the row's length up front, so the loop
+// carries no bounds checks.
+func (ln *LayerNorm) normRow(r int, mean, inv float64) {
+	ln.invStd[r] = inv
+	row := ln.x.Row(r)
+	nrow, yrow := ln.norm.Row(r)[:len(row)], ln.y.Row(r)[:len(row)]
+	gain, bias := ln.Gain.W.Data[:len(row)], ln.Bias.W.Data[:len(row)]
+	for i, v := range row {
+		nv := (v - mean) * inv
+		nrow[i] = nv
+		yrow[i] = nv*gain[i] + bias[i]
+	}
 }
 
 // Backward implements Layer.

@@ -143,30 +143,36 @@ func axpyRow(orow, brow []float64, av float64) {
 	}
 }
 
-// matMulAcc accumulates a×b into out without zeroing it first. The order
-// (k ascending per output element, exact-zero lhs entries skipped) is the
-// single definition shared by MatMul and MatMulInto, so the two are
-// bit-identical by construction. With AVX each output row goes to
-// rowAccAVX, which keeps column blocks in registers across the k loop
-// and performs the same multiplies and adds in the same order as the
-// axpyRow sweeps below.
-func matMulAcc(out, a, b *Tensor) {
+// rowAcc computes o[j] += Σ_k a[k·astride]·b[k·ldb+j] for every column
+// j of o, k ascending from 0 to kn-1, skipping exact-zero a entries.
+// It is the one accumulation order behind every zero-skipping matmul:
+// with AVX the row goes to rowAccAVX, which keeps column blocks in
+// registers across the k loop; otherwise each nonzero a term is one
+// axpyRow sweep. Both perform the same multiplies and adds in the same
+// order per output element. The strides let callers pass views: a
+// column of a (astride = a.Cols) or a column block of b (ldb wider
+// than o), without copying either.
+func rowAcc(o, a []float64, astride int, b []float64, ldb, kn int) {
 	if useAVX {
-		bd := b.Data[:b.Rows*b.Cols]
-		for i := 0; i < a.Rows; i++ {
-			rowAccAVX(out.Row(i), a.Row(i), 1, bd, b.Cols, a.Cols)
-		}
+		rowAccAVX(o, a, astride, b, ldb, kn)
 		return
 	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			axpyRow(orow, b.Row(k), av)
+	n := len(o)
+	for k := 0; k < kn; k++ {
+		if av := a[k*astride]; av != 0 {
+			axpyRow(o, b[k*ldb:k*ldb+n], av)
 		}
+	}
+}
+
+// matMulAcc accumulates a×b into out without zeroing it first, one
+// rowAcc per output row. The order (k ascending per output element,
+// exact-zero lhs entries skipped) is the single definition shared by
+// MatMul and MatMulInto, so the two are bit-identical by construction.
+func matMulAcc(out, a, b *Tensor) {
+	bd := b.Data[:b.Rows*b.Cols]
+	for i := 0; i < a.Rows; i++ {
+		rowAcc(out.Row(i), a.Row(i), 1, bd, b.Cols, a.Cols)
 	}
 }
 
@@ -196,17 +202,43 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 
 // matMulTCore writes a×bᵀ into out, overwriting every element.
 func matMulTCore(out, a, b *Tensor) {
+	bd := b.Data[:b.Rows*b.Cols]
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := range orow {
-			orow[j] = dotRow(arow, b.Row(j))
+		dotRowsInto(out.Row(i), a.Row(i), bd, b.Cols, 1)
+	}
+}
+
+// dotRowsInto writes o[j] = scale·dotRow(arow, b[j·ldb : j·ldb+len(arow)])
+// for every column j of o: the dot products of arow with len(o) rows of
+// b spaced ldb apart, so b may be a column block of a wider matrix.
+// Four columns share each sweep over k, each in its own accumulator
+// with dotRow's k-ascending, no-skip order: the four add chains are
+// independent and overlap, while every element sees exactly dotRow's
+// adds. The scale is one rounded multiply per element (exact for 1).
+func dotRowsInto(o, arow, b []float64, ldb int, scale float64) {
+	kn := len(arow)
+	j := 0
+	for ; j+4 <= len(o); j += 4 {
+		b0 := b[j*ldb:][:kn]
+		b1 := b[(j+1)*ldb:][:kn]
+		b2 := b[(j+2)*ldb:][:kn]
+		b3 := b[(j+3)*ldb:][:kn]
+		var s0, s1, s2, s3 float64
+		for k, av := range arow {
+			s0 += av * b0[k]
+			s1 += av * b1[k]
+			s2 += av * b2[k]
+			s3 += av * b3[k]
 		}
+		o[j], o[j+1], o[j+2], o[j+3] = s0*scale, s1*scale, s2*scale, s3*scale
+	}
+	for ; j < len(o); j++ {
+		o[j] = dotRow(arow, b[j*ldb:][:kn]) * scale
 	}
 }
 
 // dotRow returns the k-ascending dot product of two equal-length rows —
-// the exact accumulation order matMulTCore has always used.
+// the reference order for every element dotRowsInto writes.
 func dotRow(arow, brow []float64) float64 {
 	brow = brow[:len(arow)]
 	var s float64
@@ -241,27 +273,16 @@ func MatMulTInto(dst, a, b *Tensor) *Tensor {
 
 // tMatMulAcc accumulates aᵀ×b into out without zeroing it first. Each
 // output element (i, j) adds a[k][i]·b[k][j] for k ascending, skipping
-// exact-zero a entries. The AVX path walks output rows instead of k, so
-// row i reads column i of a with stride a.Cols: the same terms in the
-// same order per element, now accumulated in registers.
+// exact-zero a entries: output row i is one rowAcc over column i of a,
+// read in place with stride a.Cols.
 func tMatMulAcc(out, a, b *Tensor) {
-	if useAVX && a.Rows > 0 {
-		ad := a.Data[:a.Rows*a.Cols]
-		bd := b.Data[:b.Rows*b.Cols]
-		for i := 0; i < a.Cols; i++ {
-			rowAccAVX(out.Row(i), ad[i:], a.Cols, bd, b.Cols, a.Rows)
-		}
+	if a.Rows == 0 {
 		return
 	}
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			axpyRow(out.Row(i), brow, av)
-		}
+	ad := a.Data[:a.Rows*a.Cols]
+	bd := b.Data[:b.Rows*b.Cols]
+	for i := 0; i < a.Cols; i++ {
+		rowAcc(out.Row(i), ad[i:], a.Cols, bd, b.Cols, a.Rows)
 	}
 }
 
@@ -315,6 +336,7 @@ func SoftmaxRows(t *Tensor) *Tensor {
 
 // SoftmaxRowsInto computes the row-wise softmax of t into out (fully
 // overwritten) with no allocation; values equal SoftmaxRows exactly.
+// out may be t itself: each element is read before it is written.
 func SoftmaxRowsInto(out, t *Tensor) *Tensor {
 	if out.Rows != t.Rows || out.Cols != t.Cols {
 		panic(fmt.Sprintf("nn: softmax dst %dx%d, want %dx%d", out.Rows, out.Cols, t.Rows, t.Cols))

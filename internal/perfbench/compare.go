@@ -45,20 +45,51 @@ func (r Regression) String() string {
 	return fmt.Sprintf("%s: %s %.4g -> %.4g (limit %.4g)", r.Name, r.Metric, r.Base, r.Current, r.Limit)
 }
 
-// Compare checks cur against base under the thresholds. When the two
-// reports were measured on different machines the numbers are not
-// comparable: Compare returns no regressions and a non-empty skipped
-// reason. Entries present only in cur are new benchmarks, not
-// regressions; entries that vanished are flagged.
+// allocsMachineIndependent reports whether an entry's allocs/op can be
+// compared across machines: the hotpath and pool_evict tiers time one
+// goroutine over fixed inputs, so their allocation counts depend on
+// neither CPU count nor speed. The other tiers run worker pools or
+// concurrent clients whose allocations follow the scheduling.
+func allocsMachineIndependent(e Entry) bool {
+	return e.Tier == TierHotPath || e.Tier == TierPoolEvict
+}
+
+// Compare checks cur against base under the thresholds. Entries
+// present only in cur are new benchmarks, not regressions; entries
+// that vanished are flagged. When the two reports were measured on
+// different machines, times, throughputs and RSS are not comparable:
+// Compare then gates only allocs/op (and presence) of the
+// machine-independent entries and returns a non-empty skipped note
+// naming what it did not compare.
 func Compare(base, cur *Report, th Thresholds) (regs []Regression, skipped string) {
-	if base.Machine != cur.Machine {
-		return nil, fmt.Sprintf("machine fingerprint changed (%+v -> %+v); thresholds not comparable",
-			base.Machine, cur.Machine)
+	sameMachine := base.Machine == cur.Machine
+	if !sameMachine {
+		var gated, unchecked int
+		for _, b := range base.Entries {
+			if allocsMachineIndependent(b) {
+				gated++
+			} else {
+				unchecked++
+			}
+		}
+		skipped = fmt.Sprintf("machine fingerprint changed (%+v -> %+v): ns_op, invocations_per_sec and peak_rss_bytes not compared; "+
+			"allocs_op gated on %d %s/%s entries; %d other entries not compared",
+			base.Machine, cur.Machine, gated, TierHotPath, TierPoolEvict, unchecked)
 	}
 	for _, b := range base.Entries {
+		if !sameMachine && !allocsMachineIndependent(b) {
+			continue
+		}
 		c := cur.Entry(b.Name)
 		if c == nil {
 			regs = append(regs, Regression{Name: b.Name, Metric: "missing"})
+			continue
+		}
+		allocLimit := b.AllocsPerOp + th.AllocsAbs
+		if !sameMachine {
+			if c.AllocsPerOp > allocLimit {
+				regs = append(regs, Regression{Name: b.Name, Metric: "allocs_op", Base: b.AllocsPerOp, Current: c.AllocsPerOp, Limit: allocLimit})
+			}
 			continue
 		}
 		if floor := c.FloorInvPerSec; floor > 0 || b.FloorInvPerSec > 0 {
@@ -78,8 +109,8 @@ func Compare(base, cur *Report, th Thresholds) (regs []Regression, skipped strin
 		if limit := b.NsPerOp * (1 + th.NsFrac); c.NsPerOp > limit {
 			regs = append(regs, Regression{Name: b.Name, Metric: "ns_op", Base: b.NsPerOp, Current: c.NsPerOp, Limit: limit})
 		}
-		if limit := b.AllocsPerOp + th.AllocsAbs; c.AllocsPerOp > limit {
-			regs = append(regs, Regression{Name: b.Name, Metric: "allocs_op", Base: b.AllocsPerOp, Current: c.AllocsPerOp, Limit: limit})
+		if c.AllocsPerOp > allocLimit {
+			regs = append(regs, Regression{Name: b.Name, Metric: "allocs_op", Base: b.AllocsPerOp, Current: c.AllocsPerOp, Limit: allocLimit})
 		}
 		if b.InvPerSec > 0 && c.InvPerSec > 0 {
 			if limit := b.InvPerSec * (1 - th.InvDropFrac); c.InvPerSec < limit {
@@ -92,5 +123,5 @@ func Compare(base, cur *Report, th Thresholds) (regs []Regression, skipped strin
 			}
 		}
 	}
-	return regs, ""
+	return regs, skipped
 }

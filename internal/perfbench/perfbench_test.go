@@ -215,3 +215,38 @@ func TestRunQuickTiers(t *testing.T) {
 		t.Fatal("Run accepted an unknown tier")
 	}
 }
+
+// TestCompareGatesAllocsAcrossMachines: on a fingerprint mismatch the
+// single-goroutine hotpath and pool_evict entries are still gated on
+// allocs/op, which no machine difference explains, while times and the
+// other tiers stay uncompared and the skip note says so.
+func TestCompareGatesAllocsAcrossMachines(t *testing.T) {
+	base := sampleReport()
+	base.Entries = append(base.Entries, Entry{Name: "PoolEvict/lru/1024", Tier: TierPoolEvict, Iterations: 1000, NsPerOp: 90})
+	cur := sampleReport()
+	cur.Entries = append(cur.Entries, Entry{Name: "PoolEvict/lru/1024", Tier: TierPoolEvict, Iterations: 1000, NsPerOp: 900, AllocsPerOp: 1})
+	cur.Machine.NumCPU++
+	cur.Entries[0].AllocsPerOp += 5 // SimCore: not machine-independent
+	cur.Entries[1].AllocsPerOp = 3  // QNetworkForward
+	cur.Entries[1].NsPerOp *= 10
+	regs, skipped := Compare(base, cur, DefaultThresholds())
+	if !strings.Contains(skipped, "fingerprint changed") || !strings.Contains(skipped, "ns_op") {
+		t.Errorf("skip note %q does not name the skipped comparisons", skipped)
+	}
+	got := map[string]string{}
+	for _, r := range regs {
+		got[r.Name] = r.Metric
+	}
+	want := map[string]string{"QNetworkForward": "allocs_op", "PoolEvict/lru/1024": "allocs_op"}
+	for name, metric := range want {
+		if len(got) != len(want) || got[name] != metric {
+			t.Fatalf("cross-machine compare flagged %v, want %v", regs, want)
+		}
+	}
+
+	cur.Entries = cur.Entries[:1] // hotpath and pool_evict entries vanished
+	regs, _ = Compare(base, cur, DefaultThresholds())
+	if len(regs) != 2 || regs[0].Metric != "missing" || regs[1].Metric != "missing" {
+		t.Fatalf("cross-machine compare with vanished entries: %v, want two missing", regs)
+	}
+}

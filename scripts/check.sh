@@ -25,6 +25,13 @@ echo "== portable matmul fallback (non-amd64 build + vet of internal/nn) =="
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/nn
 
+echo "== nn/drl under GOAMD64=v3 (FMA-capable codegen must keep the pinned bits) =="
+if [ "$(go env GOARCH)" = amd64 ] && grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo; then
+    GOAMD64=v3 go test ./internal/nn ./internal/drl
+else
+    echo "host CPU is not x86-64-v3 (AVX2 and FMA); a v3 binary cannot run here"
+fi
+
 echo "== mlcr-vet hotalloc smoke (call-graph hot-path alloc contract alone, DESIGN.md §14) =="
 go run ./cmd/mlcr-vet -run hotalloc ./...
 
